@@ -6,7 +6,7 @@
 //! memo is purely a work-avoidance device, never a source of truth the
 //! result could diverge toward. The mechanism is *input-equality
 //! memoization*: every per-function fixpoint in the modular analysis
-//! ([`Analysis::run_threaded`]) is a pure function of a small, explicit
+//! ([`Analysis::run`]) is a pure function of a small, explicit
 //! input capture (the group's blocks and internal edges, its dominator
 //! chains, the projected pre-pass seeds flowing into it, the
 //! stack-balance verdicts of its direct callees, and the analysis
@@ -16,7 +16,7 @@
 //! against the adversarial producer, and no call-graph reasoning that
 //! could under-approximate the invalidation set.
 //!
-//! The cheap serial phases — CFG reconstruction, dominators, the
+//! The cheap whole-program phases — CFG reconstruction, dominators, the
 //! stack-balance stratification driver and the projected whole-program
 //! pre-pass — are recomputed from scratch on every run. That is what
 //! makes the capture comparison sound: the seeds and callee verdicts fed
@@ -192,7 +192,7 @@ fn callee_bits(cfg: &Cfg, members: &[usize], balanced: &BTreeSet<usize>) -> Vec<
 }
 
 /// One stack-balance evaluation for a candidate group — byte-for-byte the
-/// evaluation `balanced_entries` performs in [`Analysis::run_threaded`].
+/// evaluation `balanced_entries` performs in [`Analysis::run`].
 fn compute_balance(
     cfg: &Cfg,
     idom: &[Option<usize>],
@@ -240,7 +240,7 @@ pub fn run_incremental(
     let idom = cfg.dominators();
     let n = cfg.blocks.len();
 
-    // Grouping, seeding: exactly as `Analysis::run_threaded`.
+    // Grouping, seeding: exactly as `Analysis::run`.
     let entries = d.function_entries();
     let group_of: Vec<usize> = cfg
         .blocks

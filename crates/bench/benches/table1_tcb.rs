@@ -36,6 +36,15 @@ const TCB_SOURCES: &[(&str, &str)] = &[
     ("analysis (api)", include_str!("../../analysis/src/lib.rs")),
 ];
 
+/// The incremental verifier: its verdict admits code into the enclave
+/// through `EnclavePool::install_patched`, so it is trusted, but it is not
+/// yet part of the counted total above. Printed as its own row so the
+/// table says what admits code.
+const UNCOUNTED_TRUSTED_SOURCES: &[&str] = &[
+    include_str!("../../core/src/consumer/incremental.rs"),
+    include_str!("../../analysis/src/incremental.rs"),
+];
+
 /// Counts non-blank, non-comment lines that are actually compiled into the
 /// enclave: each file keeps its `#[cfg(test)]` module last, so everything
 /// from that marker on is test harness and never part of the TCB.
@@ -83,6 +92,14 @@ fn print_table() {
         "DEFLECTION total",
         "(measured from this repository)",
         total as f64 / 1000.0
+    );
+    let uncounted: usize = UNCOUNTED_TRUSTED_SOURCES.iter().map(|s| code_lines(s)).sum();
+    println!(
+        "{:<18} {:<34} {:>8.2}\n{:<18} ^ trusted via `install_patched`, not yet counted",
+        "not in total",
+        "incremental (consumer + analysis)",
+        uncounted as f64 / 1000.0,
+        ""
     );
     println!(
         "\npaper: loader <600 LoC + verifier <700 LoC + 9.1 kLoC clipped Capstone;\n\

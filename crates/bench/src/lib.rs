@@ -75,10 +75,10 @@ pub fn measure_mode(
     measure_exec_mode(source, input, policy, config, mode)
 }
 
-/// [`measure`] pinned to one of the VM's three dispatch modes: superblock
-/// traces (the production default), per-instruction block dispatch, or the
-/// decode-every-step reference interpreter. The `ablation_icache` bench
-/// diffs all three; everything else measures the production configuration.
+/// [`measure`] pinned to one of the VM's two dispatch modes: superblock
+/// traces (the production default) or the decode-every-step reference
+/// interpreter. The `ablation_icache` bench diffs both; everything else
+/// measures the production configuration.
 ///
 /// # Panics
 ///

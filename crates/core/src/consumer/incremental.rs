@@ -31,7 +31,7 @@
 //! the analysis-side module docs). A hit therefore replays a result that
 //! a from-scratch serial verify would recompute identically; the merge
 //! and the whole-program tail checks run unconditionally through the same
-//! `merged_verdict` the serial and threaded verifiers use, so the final
+//! `merged_verdict` the full verifier uses, so the final
 //! verdict — acceptance or the exact error — is bit-identical to
 //! [`verify_with_layout`](super::verify_with_layout). The full serial
 //! verifier stays the measured TCB and the oracle; this module is a
@@ -265,8 +265,7 @@ fn verify_incremental_inner(
     cache: &mut IncrementalCache,
 ) -> Result<Verified, VerifyError> {
     // Discovery always re-runs in full — see the module docs.
-    let Discovery { disassembly, roles, instances } =
-        discover_impl(code, entry, indirect_targets, 1)?;
+    let Discovery { disassembly, roles, instances } = discover_impl(code, entry, indirect_targets)?;
     let starts_at: HashMap<usize, TemplateKind> =
         instances.iter().map(|i| (i.start_idx, i.kind)).collect();
     let elide = if policy.elide_guards && policy.cfi { Some(layout) } else { None };
@@ -306,7 +305,6 @@ fn verify_incremental_inner(
         policy,
         elide,
         analysis: &analysis,
-        threads: 1,
     };
 
     let entries = disassembly.function_entries();

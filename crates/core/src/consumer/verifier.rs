@@ -8,33 +8,27 @@
 //! instruction carries its annotation and that no control flow can skip an
 //! annotation. Any failure rejects the binary — the verifier never repairs.
 //!
-//! # Threading model
+//! # Per-function decomposition
 //!
-//! [`verify_threaded`] shards the expensive per-function work — the
-//! structural checks here and the abstract interpretation in
-//! [`deflection_analysis`] — across worker threads at function-entry
-//! granularity. Frontier discovery and greedy template discovery stay
-//! serial (cheap, order-sensitive); each worker then scans one function
-//! over the *same immutable* disassembly, roles and instance tables, and
-//! records the first error per check phase. A deterministic merge reports,
-//! for the earliest failing phase, the error with the lowest instruction
-//! index — exactly what the serial ascending scan returns — so the verdict
-//! is bit-identical for every thread count. All of this runs over the
-//! enclave's private pre-mapped copy of the binary, so parallelism adds no
-//! TOCTOU surface; see `DESIGN.md` for the full argument.
+//! The instruction-independent check phases run one function range at a
+//! time (`check_range`), each recording its first error per phase; a
+//! deterministic merge (`merged_verdict`) then reports, for the earliest
+//! failing phase, the error with the lowest instruction index — exactly
+//! what one ascending scan of the whole program returns. The split exists
+//! for the incremental verifier (`consumer::incremental`), which memoizes
+//! each range's result and must reach the same verdict.
 
 use crate::annotations::{
     elision_analysis_config, is_exempt_frame_store, match_any, Code, Instance, TemplateKind,
 };
 use crate::policy::PolicySet;
 use deflection_analysis::Analysis;
-use deflection_isa::{disassemble_threaded, DisasmError, Disassembly, Inst, Reg};
+use deflection_isa::{disassemble, DisasmError, Disassembly, Inst, Reg};
 use deflection_sgx_sim::layout::EnclaveLayout;
 use deflection_telemetry::{Span, METRICS};
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::OnceLock;
 
 /// Why a binary was rejected.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -185,28 +179,7 @@ pub fn verify(
     indirect_targets: &[usize],
     policy: &PolicySet,
 ) -> Result<Verified, VerifyError> {
-    verify_impl(code, entry, indirect_targets, policy, None, 1)
-}
-
-/// Verifies like [`verify`] with the per-function work sharded across up
-/// to `threads` worker threads.
-///
-/// The verdict — acceptance or the exact [`VerifyError`] — is identical
-/// to the single-threaded [`verify`] for every thread count; see the
-/// module docs on the threading model. `threads <= 1` runs the plain
-/// serial pipeline with no thread machinery at all.
-///
-/// # Errors
-///
-/// Same contract as [`verify`].
-pub fn verify_threaded(
-    code: &[u8],
-    entry: usize,
-    indirect_targets: &[usize],
-    policy: &PolicySet,
-    threads: usize,
-) -> Result<Verified, VerifyError> {
-    verify_impl(code, entry, indirect_targets, policy, None, threads)
+    verify_impl(code, entry, indirect_targets, policy, None)
 }
 
 /// Verifies like [`verify`], additionally accepting guard-elided binaries
@@ -232,25 +205,7 @@ pub fn verify_with_layout(
     policy: &PolicySet,
     layout: &EnclaveLayout,
 ) -> Result<Verified, VerifyError> {
-    verify_impl(code, entry, indirect_targets, policy, Some(layout), 1)
-}
-
-/// Verifies like [`verify_with_layout`] with the per-function work
-/// sharded across up to `threads` worker threads; the verdict is
-/// identical to the single-threaded run for every thread count.
-///
-/// # Errors
-///
-/// Same contract as [`verify`].
-pub fn verify_with_layout_threaded(
-    code: &[u8],
-    entry: usize,
-    indirect_targets: &[usize],
-    policy: &PolicySet,
-    layout: &EnclaveLayout,
-    threads: usize,
-) -> Result<Verified, VerifyError> {
-    verify_impl(code, entry, indirect_targets, policy, Some(layout), threads)
+    verify_impl(code, entry, indirect_targets, policy, Some(layout))
 }
 
 /// Back-to-back P2 elision: an explicit `rsp` write needs no guard of its
@@ -268,7 +223,7 @@ fn rsp_chain_ok(insts: &[(usize, Inst, usize)], roles: &[Role], idx: usize) -> b
     })
 }
 
-/// Read-only inputs shared by every per-function check worker.
+/// Read-only inputs shared by every per-function check.
 pub(crate) struct CheckCtx<'a> {
     pub(crate) insts: &'a [(usize, Inst, usize)],
     pub(crate) roles: &'a [Role],
@@ -278,7 +233,6 @@ pub(crate) struct CheckCtx<'a> {
     pub(crate) policy: &'a PolicySet,
     pub(crate) elide: Option<&'a EnclaveLayout>,
     pub(crate) analysis: &'a OnceLock<Analysis>,
-    pub(crate) threads: usize,
 }
 
 impl CheckCtx<'_> {
@@ -289,14 +243,10 @@ impl CheckCtx<'_> {
         }
     }
 
-    /// The shared elision analysis, built on first demand. `OnceLock`
-    /// runs the initializer exactly once even under contention, and the
-    /// analysis value itself is thread-count independent, so every
-    /// worker observes the same proofs.
+    /// The shared elision analysis, built on first demand, so every
+    /// function range observes the same proofs.
     fn analysis(&self, l: &EnclaveLayout) -> &Analysis {
-        self.analysis.get_or_init(|| {
-            Analysis::run_threaded(self.d, elision_analysis_config(l), self.threads)
-        })
+        self.analysis.get_or_init(|| Analysis::run(self.d, elision_analysis_config(l)))
     }
 }
 
@@ -423,35 +373,6 @@ fn policy_check_inst(
     }
 }
 
-/// Runs [`check_range`] over every function range, work-claimed across
-/// `threads` workers. The collected set is schedule-independent (each
-/// range's result is a pure function of shared immutable state), so the
-/// caller's min-key merge sees identical inputs for every thread count.
-fn run_range_checks(
-    ctx: &CheckCtx<'_>,
-    ranges: &[(usize, usize)],
-    threads: usize,
-) -> Vec<RangeErrors> {
-    let _span = Span::start(&METRICS.verify_checks_ns);
-    let workers = threads.min(ranges.len());
-    if workers <= 1 {
-        return ranges.iter().map(|&(lo, hi)| check_range(ctx, lo, hi)).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let results: Mutex<Vec<RangeErrors>> = Mutex::new(Vec::new());
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(&(lo, hi)) = ranges.get(i) else { break };
-                let r = check_range(ctx, lo, hi);
-                results.lock().expect("range results lock").push(r);
-            });
-        }
-    });
-    results.into_inner().expect("range results lock")
-}
-
 /// Output of the discovery prefix of verification: disassembly, greedily
 /// matched annotation instances, and the per-instruction roles the check
 /// phases consume.
@@ -472,11 +393,10 @@ pub(crate) fn discover_impl(
     code: &[u8],
     entry: usize,
     indirect_targets: &[usize],
-    threads: usize,
 ) -> Result<Discovery, VerifyError> {
     let disassembly = {
         let _span = Span::start(&METRICS.verify_disasm_ns);
-        disassemble_threaded(code, entry, indirect_targets, threads)?
+        disassemble(code, entry, indirect_targets)?
     };
     let _span = Span::start(&METRICS.verify_discovery_ns);
     let insts = disassembly.insts();
@@ -524,7 +444,7 @@ pub fn discover(
     entry: usize,
     indirect_targets: &[usize],
 ) -> Result<Verified, VerifyError> {
-    let d = discover_impl(code, entry, indirect_targets, 1)?;
+    let d = discover_impl(code, entry, indirect_targets)?;
     let insts = d.disassembly.insts().to_vec();
     Ok(Verified { disassembly: d.disassembly, insts, instances: d.instances })
 }
@@ -535,10 +455,9 @@ fn verify_impl(
     indirect_targets: &[usize],
     policy: &PolicySet,
     layout: Option<&EnclaveLayout>,
-    threads: usize,
 ) -> Result<Verified, VerifyError> {
     let _span = Span::start(&METRICS.verify_ns);
-    let result = verify_inner(code, entry, indirect_targets, policy, layout, threads);
+    let result = verify_inner(code, entry, indirect_targets, policy, layout);
     match &result {
         Ok(_) => METRICS.verify_accepts.add(1),
         Err(_) => METRICS.verify_rejects.add(1),
@@ -552,10 +471,8 @@ fn verify_inner(
     indirect_targets: &[usize],
     policy: &PolicySet,
     layout: Option<&EnclaveLayout>,
-    threads: usize,
 ) -> Result<Verified, VerifyError> {
-    let Discovery { disassembly, roles, instances } =
-        discover_impl(code, entry, indirect_targets, threads)?;
+    let Discovery { disassembly, roles, instances } = discover_impl(code, entry, indirect_targets)?;
     let insts = disassembly.insts();
 
     // Instance-start index → kind, for O(1) rule lookups.
@@ -582,17 +499,17 @@ fn verify_inner(
         policy,
         elide,
         analysis: &analysis,
-        threads,
     };
 
-    // --- Sharded pass: instruction-independent phases, per function. ------
-    // Each worker scans one function's instructions and records the first
-    // error per phase. The merge below picks, within each phase, the error
-    // with the lowest instruction index — exactly the error a serial
-    // ascending scan would have returned first — so the verdict cannot
-    // depend on thread timing.
+    // --- Instruction-independent phases, one function range at a time. ----
+    // The merge below picks, within each phase, the error with the lowest
+    // instruction index — exactly the error one ascending scan of the whole
+    // program would have returned first.
     let ranges = disassembly.function_ranges();
-    let results = run_range_checks(&ctx, &ranges, threads);
+    let results: Vec<RangeErrors> = {
+        let _span = Span::start(&METRICS.verify_checks_ns);
+        ranges.iter().map(|&(lo, hi)| check_range(&ctx, lo, hi)).collect()
+    };
     merged_verdict(&ctx, entry, indirect_targets, &results)?;
     Ok(Verified { insts: insts.to_vec(), disassembly, instances })
 }
@@ -600,8 +517,8 @@ fn verify_inner(
 /// The deterministic tail of verification: merges the per-function phase
 /// errors (lowest instruction index wins within each phase, phases in the
 /// serial scan's fixed order) and runs the remaining whole-program serial
-/// checks. Shared by the threaded and incremental entry points so the
-/// verdict is bit-identical across all of them.
+/// checks. Shared by the full and incremental entry points so the
+/// verdict is bit-identical across both.
 pub(crate) fn merged_verdict(
     ctx: &CheckCtx<'_>,
     entry: usize,
@@ -684,8 +601,12 @@ pub(crate) fn merged_verdict(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::attack::{corpus, elision_corpus};
     use crate::producer::produce;
     use deflection_obj::ObjectFile;
+    use deflection_sgx_sim::layout::MemConfig;
+    use deflection_sgx_sim::mem::Memory;
+    use proptest::prelude::*;
 
     const SRC: &str = "
         var data: [int; 32];
@@ -781,6 +702,118 @@ mod tests {
         let (entry, ibt) = entry_and_ibt(&obj);
         assert!(verify(&obj.text, entry, &ibt, &PolicySet::full()).is_err());
         assert!(discover(&obj.text, entry, &ibt).is_ok());
+    }
+
+    /// Both sides of the per-function decomposition for one binary, loaded
+    /// the way `install` loads it: the merged verdict over the per-range
+    /// [`check_range`] results for `function_ranges()`, and the merged
+    /// verdict over the single whole-program range `[0, insts.len())`.
+    /// `None` when the loader or the disassembler rejects the binary first.
+    #[allow(clippy::type_complexity)]
+    fn split_and_whole(
+        binary: &[u8],
+        policy: &PolicySet,
+    ) -> Option<(Result<(), VerifyError>, Result<(), VerifyError>)> {
+        let layout = EnclaveLayout::new(MemConfig::small());
+        let mut mem = Memory::new(layout.clone());
+        let program = crate::consumer::load(binary, &mut mem).ok()?;
+        let code = mem.peek_bytes(layout.code.start, program.code_len).ok()?.to_vec();
+        let entry = (program.entry_va - layout.code.start) as usize;
+        let ibt = &program.ibt_offsets;
+        let Discovery { disassembly, roles, instances } = discover_impl(&code, entry, ibt).ok()?;
+        let starts_at = instances.iter().map(|i| (i.start_idx, i.kind)).collect();
+        let analysis = OnceLock::new();
+        let ctx = CheckCtx {
+            insts: disassembly.insts(),
+            roles: &roles,
+            instances: &instances,
+            starts_at: &starts_at,
+            d: &disassembly,
+            policy,
+            elide: (policy.elide_guards && policy.cfi).then_some(&layout),
+            analysis: &analysis,
+        };
+        let split: Vec<RangeErrors> = disassembly
+            .function_ranges()
+            .iter()
+            .map(|&(lo, hi)| check_range(&ctx, lo, hi))
+            .collect();
+        let whole = [check_range(&ctx, 0, disassembly.len())];
+        Some((merged_verdict(&ctx, entry, ibt, &split), merged_verdict(&ctx, entry, ibt, &whole)))
+    }
+
+    /// Asserts the decomposition returns the whole-program scan's verdict;
+    /// returns that verdict when the binary reached the checks at all.
+    fn assert_decomposition(name: &str, binary: &[u8], policy: &PolicySet) -> Option<bool> {
+        let (split, whole) = split_and_whole(binary, policy)?;
+        assert_eq!(split, whole, "{name}: per-function merge diverged from the whole-program scan");
+        Some(split.is_ok())
+    }
+
+    #[test]
+    fn per_function_merge_matches_whole_program_scan_on_the_corpora() {
+        let mut rejected = 0;
+        for (attack, policy) in corpus()
+            .into_iter()
+            .map(|a| (a, PolicySet::full()))
+            .chain(elision_corpus().into_iter().map(|a| (a, PolicySet::full().with_elision())))
+        {
+            if assert_decomposition(attack.name, &attack.binary.serialize(), &policy) == Some(false)
+            {
+                rejected += 1;
+            }
+        }
+        assert!(rejected > 0, "the corpora must exercise the rejecting merge");
+    }
+
+    #[test]
+    fn per_function_merge_matches_whole_program_scan_on_the_honest_binary() {
+        for policy in [PolicySet::full(), PolicySet::full().with_elision()] {
+            let binary = produce(HONEST, &policy).unwrap().serialize();
+            assert_eq!(assert_decomposition("honest", &binary, &policy), Some(true));
+        }
+    }
+
+    const HONEST: &str = "
+        var data: [int; 32];
+        fn helper(x: int) -> int { return x * 3 + 1; }
+        fn main() -> int {
+            var n: int = input_len();
+            var f: fn(int) -> int = &helper;
+            var i: int = 0;
+            while (i < 32) {
+                data[i] = f(i + n);
+                i = i + 1;
+            }
+            output_byte(0, data[31] & 0xFF);
+            send(1);
+            return data[31];
+        }
+    ";
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// Random byte flips over an honest instrumented binary: whatever
+        /// the whole-program scan decides, the per-function merge decides
+        /// identically.
+        #[test]
+        fn per_function_merge_matches_whole_program_scan_on_mutants(
+            positions in proptest::collection::vec((0usize..20_000, any::<u8>()), 1..6)
+        ) {
+            let policy = PolicySet::full().with_elision();
+            let mut binary = produce(HONEST, &policy).unwrap().serialize();
+            for (pos, xor) in positions {
+                let idx = pos % binary.len();
+                binary[idx] ^= xor;
+            }
+            let verdicts = split_and_whole(&binary, &policy);
+            // Mutants the loader or disassembler rejects never reach the
+            // checks; skip them.
+            prop_assume!(verdicts.is_some());
+            let (split, whole) = verdicts.unwrap();
+            prop_assert_eq!(split, whole);
+        }
     }
 
     #[test]

@@ -41,13 +41,11 @@
 //!
 //! [`EnclavePool::serve_parallel`] schedules by *work stealing*: worker
 //! threads claim request indices from a shared atomic counter, so a skewed
-//! batch no longer idles the statically assigned workers
-//! ([`EnclavePool::serve_parallel_round_robin`] keeps the old static
-//! `i % len` split as the ablation baseline). Request *outcomes* stay
+//! batch keeps every healthy worker busy. Request *outcomes* stay
 //! schedule-independent — serving is deterministic per request, a lost
 //! request is retried on a fresh or different worker with an identical
 //! result, and the documented lowest-request-index error rule is enforced
-//! by `merge_results` after all threads join. (Record *ciphertexts* do
+//! by `in_request_order` after all threads join. (Record *ciphertexts* do
 //! depend on which worker sealed them, since each worker seals in its own
 //! nonce channel under its own monotonic counter.)
 
@@ -1028,97 +1026,20 @@ impl EnclavePool {
             }
             slots.push(retried);
         }
-        // Flatten per-worker batches into request order. Every index has
-        // exactly one outcome: the stranded pass above filled any gap.
-        let mut by_request: Vec<Option<Result<RunReport, EcallError>>> =
-            (0..requests.len()).map(|_| None).collect();
-        for batch in slots {
-            for (i, result) in batch {
-                by_request[i] = Some(result);
-            }
-        }
-        by_request.into_iter().map(|r| r.expect("every request served")).collect()
-    }
-
-    /// The pre-work-stealing scheduler: request `i` runs on worker
-    /// `i % len`, requests mapped to the same worker run serially on its
-    /// thread. Kept as the ablation baseline for
-    /// [`EnclavePool::serve_parallel`]; performs no quarantine or respawn
-    /// handling, so it assumes a healthy pool. Health counters follow the
-    /// same accounting as the work-stealing path: every completed run
-    /// (including a contained-fault report) counts as served, and fault
-    /// reports increment `faulted`.
-    ///
-    /// # Errors
-    ///
-    /// Same lowest-request-index error rule as
-    /// [`EnclavePool::serve_parallel`].
-    pub fn serve_parallel_round_robin<T: AsRef<[u8]> + Sync>(
-        &mut self,
-        requests: &[T],
-        fuel: u64,
-    ) -> Result<Vec<RunReport>, EcallError> {
-        let worker_count = self.workers.len();
-        METRICS.pool_round_robin_assignments.add(requests.len() as u64);
-        let traces: Vec<TraceId> = (0..requests.len()).map(|_| TraceId::mint()).collect();
-        for (i, &t) in traces.iter().enumerate() {
-            flightrec::record(EventKind::Enqueue, t, i as u64, requests.len() as u64);
-        }
-        let mut assignments: Vec<Vec<usize>> = vec![Vec::new(); worker_count];
-        for i in 0..requests.len() {
-            assignments[i % worker_count].push(i);
-        }
-        let mut slots: Vec<Vec<(usize, Result<RunReport, EcallError>)>> = Vec::new();
-        std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for (w, idxs) in self.workers.iter_mut().zip(&assignments) {
-                let traces = &traces;
-                let handle = scope.spawn(move || {
-                    let mut out = Vec::with_capacity(idxs.len());
-                    for &i in idxs {
-                        let result = flightrec::with_trace(traces[i], || {
-                            flightrec::record(EventKind::Claim, traces[i], i as u64, w.slot as u64);
-                            let r = w
-                                .enclave
-                                .provide_input(requests[i].as_ref())
-                                .and_then(|()| w.enclave.run(fuel));
-                            if let Ok(report) = &r {
-                                crate::flight::record_run_report(report);
-                            }
-                            r
-                        });
-                        // Same accounting as `serve_once`: a completed run
-                        // is served, a contained-fault report also counts
-                        // as faulted — keeping PoolHealth comparable
-                        // between the two schedulers in the ablation.
-                        if let Ok(report) = &result {
-                            w.health.served += 1;
-                            if matches!(report.exit, RunExit::Fault(_)) {
-                                w.health.faulted += 1;
-                            }
-                        }
-                        out.push((i, result));
-                    }
-                    out
-                });
-                handles.push(handle);
-            }
-            for h in handles {
-                slots.push(h.join().expect("worker thread must not panic"));
-            }
-        });
-        merge_results(requests.len(), slots)
+        // Every index has exactly one outcome: the stranded pass above
+        // filled any gap.
+        in_request_order(requests.len(), slots)
     }
 }
 
-/// Flattens per-worker result batches into request order. On failure the
-/// returned error is the one at the lowest request index — a pure
+/// Flattens per-worker result batches into request order — a pure
 /// function of the per-request outcomes, not of which worker thread
-/// finished (or was collected) first.
-fn merge_results(
+/// finished (or was collected) first, so collapsing it at the first `Err`
+/// yields the lowest-request-index error.
+fn in_request_order(
     request_count: usize,
     slots: Vec<Vec<(usize, Result<RunReport, EcallError>)>>,
-) -> Result<Vec<RunReport>, EcallError> {
+) -> Vec<Result<RunReport, EcallError>> {
     let mut by_request: Vec<Option<Result<RunReport, EcallError>>> =
         (0..request_count).map(|_| None).collect();
     for batch in slots {
@@ -1126,11 +1047,7 @@ fn merge_results(
             by_request[i] = Some(result);
         }
     }
-    let mut reports = Vec::with_capacity(request_count);
-    for r in by_request {
-        reports.push(r.expect("every request served")?);
-    }
-    Ok(reports)
+    by_request.into_iter().map(|r| r.expect("every request served")).collect()
 }
 
 #[cfg(test)]
@@ -1173,16 +1090,6 @@ mod tests {
             assert_eq!(report.exit, RunExit::Halted { exit: expected });
             let serial = serial_pool.serve_on(0, req, 10_000_000).unwrap();
             assert_eq!(serial.exit, report.exit);
-        }
-    }
-
-    #[test]
-    fn round_robin_baseline_matches_work_stealing() {
-        let requests: Vec<Vec<u8>> = (0..12u8).map(|i| vec![i, i + 3]).collect();
-        let a = pool(3).serve_parallel(&requests, 10_000_000).unwrap();
-        let b = pool(3).serve_parallel_round_robin(&requests, 10_000_000).unwrap();
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.exit, y.exit);
         }
     }
 
@@ -1306,39 +1213,6 @@ mod tests {
     }
 
     #[test]
-    fn round_robin_health_accounting_matches_work_stealing() {
-        // A batch where every request hits a contained fault: both
-        // schedulers must report identical pool-wide served/faulted
-        // totals (the respawn counters legitimately differ — the baseline
-        // performs no quarantine handling).
-        let src = "fn main() -> int { return send(1); }";
-        let manifest = {
-            let mut m = Manifest::ccaas();
-            m.policy = PolicySet::p1();
-            m
-        };
-        let layout = EnclaveLayout::new(MemConfig::small());
-        let binary = produce(src, &manifest.policy).unwrap().serialize();
-        let requests: Vec<Vec<u8>> = (0..6u8).map(|i| vec![i]).collect();
-        // No owner session: every send faults, contained.
-        let mut stealing = EnclavePool::new(&layout, &manifest, 2);
-        stealing.install_all(&binary).unwrap();
-        stealing.serve_parallel(&requests, 1_000_000).unwrap();
-        let mut round_robin = EnclavePool::new(&layout, &manifest, 2);
-        round_robin.install_all(&binary).unwrap();
-        round_robin.serve_parallel_round_robin(&requests, 1_000_000).unwrap();
-        let a = stealing.health();
-        let b = round_robin.health();
-        assert_eq!(a.total_served(), b.total_served());
-        assert_eq!(a.total_faulted(), b.total_faulted());
-        assert_eq!(b.total_served(), requests.len());
-        assert_eq!(b.total_faulted(), requests.len());
-        // The derived aggregates agree too: every request faulted.
-        assert_eq!(a.fault_rate(), 1.0);
-        assert_eq!(b.fault_rate(), 1.0);
-    }
-
-    #[test]
     fn health_aggregates_derive_from_worker_counters() {
         let mut p = pool(2);
         let fresh = p.health();
@@ -1378,7 +1252,8 @@ mod tests {
             vec![(0, ok()), (2, Err(EcallError::NoRoomForIo))],
             vec![(1, Err(EcallError::NotInstalled)), (3, ok())],
         ];
-        let err = merge_results(4, slots).unwrap_err();
+        let err =
+            in_request_order(4, slots).into_iter().collect::<Result<Vec<_>, _>>().unwrap_err();
         assert_eq!(err, EcallError::NotInstalled);
     }
 

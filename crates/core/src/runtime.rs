@@ -785,18 +785,7 @@ impl BootstrapEnclave {
         self.vm.as_mut().expect("binary installed").set_aex(injector);
     }
 
-    /// Switches the VM between icache dispatch (default) and the
-    /// decode-every-step reference mode (differential tests and the
-    /// `ablation_icache` bench).
-    ///
-    /// # Panics
-    ///
-    /// Panics if no binary is installed.
-    pub fn set_decode_every_step(&mut self, on: bool) {
-        self.vm.as_mut().expect("binary installed").set_decode_every_step(on);
-    }
-
-    /// Selects the VM dispatch mode (traced / block / reference) —
+    /// Selects the VM dispatch mode (traced / reference) —
     /// differential tests and the `ablation_icache` bench.
     ///
     /// # Panics

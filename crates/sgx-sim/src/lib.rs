@@ -16,7 +16,7 @@
 //! * [`icache`] — a decode-once instruction cache with generation-based
 //!   coherence, modelling the hardware icache (including self-modifying
 //!   code snooping — see `DESIGN.md` §5f);
-//! * [`vm`] — the block-dispatch run loop coupling CPU, memory, icache,
+//! * [`vm`] — the trace-dispatch run loop coupling CPU, memory, icache,
 //!   AEX and a [`vm::VmHost`] providing OCall service;
 //! * [`measure`] — MRENCLAVE-style measurement and platform quote signing;
 //! * [`coloc`] — the HyperRace co-location probe model with the paper's

@@ -562,7 +562,6 @@ pub struct Metrics {
     /// first claims — so this is a throughput count, not a count of
     /// requests stolen from another worker's share.
     pub pool_work_queue_claims: Counter,
-    pub pool_round_robin_assignments: Counter,
     pub pool_contained_faults: Counter,
     pub pool_lost_instances: Counter,
     pub pool_respawns: Counter,
@@ -688,10 +687,6 @@ impl Metrics {
                 "deflection_pool_events_total",
                 r#"event="work_queue_claim""#,
             ),
-            pool_round_robin_assignments: Counter::new(
-                "deflection_pool_events_total",
-                r#"event="round_robin_assignment""#,
-            ),
             pool_contained_faults: Counter::new(
                 "deflection_pool_events_total",
                 r#"event="contained_fault""#,
@@ -771,7 +766,7 @@ impl Metrics {
         }
     }
 
-    fn counters(&self) -> [&Counter; 16] {
+    fn counters(&self) -> [&Counter; 15] {
         [
             &self.produce_elision_fallbacks,
             &self.produce_guards_elided,
@@ -782,7 +777,6 @@ impl Metrics {
             &self.pool_sealed_exports,
             &self.pool_sealed_imports,
             &self.pool_work_queue_claims,
-            &self.pool_round_robin_assignments,
             &self.pool_contained_faults,
             &self.pool_lost_instances,
             &self.pool_respawns,

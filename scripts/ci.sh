@@ -47,6 +47,12 @@ cargo test -q
 echo "==> tier-1: chaos/fault-injection suite (pool_chaos, sealed_install)"
 cargo test -q -p deflection-core --test pool_chaos --test sealed_install
 
+# perfbench sits outside the workspace, so `cargo test` above never
+# compiles it; build and test it against the current crates so an API
+# change that breaks the benchmark fails here, not in a benchmark run.
+echo "==> tier-1: perfbench tests (out-of-workspace benchmark crate)"
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
+
 # The icache differential suite runs under the default (traced) dispatch
 # above; force one pass through the decode-every-step environment switch so
 # the env-var plumbing the CI differential job depends on cannot rot.

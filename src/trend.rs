@@ -11,9 +11,10 @@
 
 use std::fmt::Write as _;
 
-/// Benches whose headline assertions are gated off on hosts with fewer
-/// than four cores (see ROADMAP): their numbers are reported but never
-/// treated as regressions when either side ran under the gate.
+/// Benches that time multi-threaded paths (concurrent install replay,
+/// work-stealing serving), whose wall time depends on spare cores: their
+/// numbers are reported but never treated as regressions when either side
+/// ran with fewer than four cores.
 pub const CORE_GATED_BENCHES: &[&str] = &["ablation_parallel_verify", "ablation_pool_resilience"];
 
 /// Host context stamped into a BENCH file by `scripts/ci.sh`.

@@ -86,18 +86,18 @@ fn main() -> int {
 }
 ";
 
-/// Serves one fixed batch on a fresh two-worker pool and digests everything
-/// observable about the outcome. Round-robin keeps the request→worker (and
-/// hence sealed-record nonce channel) assignment deterministic, so the
-/// digests are comparable across pools.
+/// Serves one fixed batch on a fresh one-worker pool and digests everything
+/// observable about the outcome. A single worker serves every request in
+/// index order, so the request→worker (and hence sealed-record nonce)
+/// assignment is fixed and the digests are comparable across pools.
 fn serve_digest(binary: &[u8]) -> String {
     let mut manifest = Manifest::ccaas();
     manifest.policy = PolicySet::full();
-    let mut pool = EnclavePool::new(&EnclaveLayout::new(MemConfig::small()), &manifest, 2);
+    let mut pool = EnclavePool::new(&EnclaveLayout::new(MemConfig::small()), &manifest, 1);
     pool.set_owner_session([0x5E; 32]);
     pool.install_all(binary).expect("honest binary installs");
     let requests: Vec<Vec<u8>> = (0..6u8).map(|i| vec![i, 2 * i, 100]).collect();
-    let reports = pool.serve_parallel_round_robin(&requests, 10_000_000).expect("batch serves");
+    let reports = pool.serve_parallel(&requests, 10_000_000).expect("batch serves");
     reports.iter().map(|r| format!("{r:?}\n")).collect()
 }
 

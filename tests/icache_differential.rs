@@ -1,7 +1,7 @@
-//! Differential suite for the predecoded instruction + trace caches: all
-//! three VM dispatch modes — superblock traces (`Vm::run_traced`, the
-//! default), per-instruction block dispatch (`Vm::run_cached`) and the
-//! decode-every-step reference interpreter — must be *bit-identical*: same
+//! Differential suite for the predecoded instruction + trace caches: both
+//! VM dispatch modes — superblock traces (`Vm::run_traced`, the default)
+//! and the decode-every-step reference interpreter — must be
+//! *bit-identical*: same
 //! exit, same counters, same final memory image, same leak log — on every
 //! program shape we can throw at them: the full attack corpus, the elision
 //! corpus, every AEX schedule, fuel exhaustion mid-block and mid-trace,
@@ -23,7 +23,7 @@ use deflection::sgx::mem::LeakRecord;
 use deflection::sgx::vm::{ExecMode, ExecStats, RunExit};
 use proptest::prelude::*;
 
-const ALL_MODES: [ExecMode; 3] = [ExecMode::Traced, ExecMode::Block, ExecMode::Reference];
+const ALL_MODES: [ExecMode; 2] = [ExecMode::Traced, ExecMode::Reference];
 
 /// Everything an execution can observably produce. Two runs are equivalent
 /// iff their snapshots are `==`.
@@ -85,7 +85,7 @@ fn run_mode(
     Some(snapshot(&enclave, report))
 }
 
-/// Asserts all three dispatch modes agree, returning the traced snapshot
+/// Asserts both dispatch modes agree, returning the traced snapshot
 /// (if the binary installed at all).
 fn assert_identical(
     name: &str,
@@ -96,13 +96,11 @@ fn assert_identical(
     fuel: u64,
 ) -> Option<Snapshot> {
     let traced = run_mode(binary, manifest, input, aex.clone(), fuel, ExecMode::Traced);
-    for mode in [ExecMode::Block, ExecMode::Reference] {
-        let other = run_mode(binary, manifest, input, aex.clone(), fuel, mode);
-        assert_eq!(
-            traced, other,
-            "{name}: traced and {mode:?} runs diverged ({aex:?}, fuel {fuel})"
-        );
-    }
+    let reference = run_mode(binary, manifest, input, aex.clone(), fuel, ExecMode::Reference);
+    assert_eq!(
+        traced, reference,
+        "{name}: traced and reference runs diverged ({aex:?}, fuel {fuel})"
+    );
     traced
 }
 
@@ -196,12 +194,11 @@ fn rewriter_coherence_prewarm_serves_patched_decodes() {
 
     // Traced mode (the default): the install-time greedy trace cover must
     // serve the whole run — zero demand fills AND zero demand formations.
-    let mut enclave =
-        BootstrapEnclave::new(EnclaveLayout::new(MemConfig::small()), manifest.clone());
+    let mut enclave = BootstrapEnclave::new(EnclaveLayout::new(MemConfig::small()), manifest);
     enclave.set_owner_session([0x5A; 32]);
     enclave.install_plain(&binary).expect("verifies");
     enclave.set_exec_mode(ExecMode::Traced);
-    enclave.set_aex(AexInjector::new(aex.clone()));
+    enclave.set_aex(AexInjector::new(aex));
     let report = enclave.run(u64::MAX / 2).expect("installed");
     assert!(matches!(report.exit, RunExit::Halted { .. }));
     let stats = enclave.icache_stats();
@@ -212,18 +209,6 @@ fn rewriter_coherence_prewarm_serves_patched_decodes() {
     assert!(traces.prewarmed > 0, "install must form the trace cover");
     assert_eq!(traces.formed, 0, "trace cover must need no demand formations");
     assert_eq!(traces.invalidated, 0, "nothing wrote code after install");
-
-    // Block mode: the same pre-warm serves every per-instruction dispatch.
-    let mut enclave = BootstrapEnclave::new(EnclaveLayout::new(MemConfig::small()), manifest);
-    enclave.set_owner_session([0x5A; 32]);
-    enclave.install_plain(&binary).expect("verifies");
-    enclave.set_exec_mode(ExecMode::Block);
-    enclave.set_aex(AexInjector::new(aex));
-    let report = enclave.run(u64::MAX / 2).expect("installed");
-    assert!(matches!(report.exit, RunExit::Halted { .. }));
-    let stats = enclave.icache_stats();
-    assert!(stats.hits > 0, "block dispatch must serve from the pre-warm");
-    assert_eq!(stats.fills, 0, "pre-warm must cover every executed instruction");
 }
 
 /// The hardest coherence case: code patched *while a formed trace over it
@@ -338,13 +323,11 @@ fn rewrite_after_warm_is_observed_by_the_cache() {
             RunExit::PolicyAbort { code: abort_codes::AEX },
             "the post-warm patch must take effect ({mode:?})"
         );
-        if mode != ExecMode::Reference {
+        if mode == ExecMode::Traced {
             assert!(
                 vm.icache_stats().invalidations > 0,
-                "the rewrite must invalidate warm icache pages ({mode:?})"
+                "the rewrite must invalidate warm icache pages"
             );
-        }
-        if mode == ExecMode::Traced {
             assert!(
                 vm.trace_stats().invalidated > 0,
                 "the rewrite must kill the install-time trace cover"
@@ -352,8 +335,7 @@ fn rewrite_after_warm_is_observed_by_the_cache() {
         }
         outcomes.push((exit, vm.stats));
     }
-    assert_eq!(outcomes[0], outcomes[1], "traced and block runs diverged after the patch");
-    assert_eq!(outcomes[0], outcomes[2], "traced and reference runs diverged after the patch");
+    assert_eq!(outcomes[0], outcomes[1], "traced and reference runs diverged after the patch");
 }
 
 /// The reference mode is also reachable through the environment switch the
@@ -365,7 +347,7 @@ fn reference_mode_reports_empty_icache_stats() {
     let mut enclave = BootstrapEnclave::new(EnclaveLayout::new(MemConfig::small()), manifest);
     enclave.set_owner_session([0x5A; 32]);
     enclave.install_plain(&binary).expect("verifies");
-    enclave.set_decode_every_step(true);
+    enclave.set_exec_mode(ExecMode::Reference);
     let report = enclave.run(u64::MAX / 2).expect("installed");
     assert!(matches!(report.exit, RunExit::Halted { .. }));
     let stats = enclave.icache_stats();
