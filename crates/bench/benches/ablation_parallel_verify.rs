@@ -4,7 +4,8 @@
 //! An 8-worker [`EnclavePool`] amortizes verification: `install_all` runs
 //! the pipeline exactly **once** per unique code hash and replays the
 //! captured image into the other workers (concurrently), versus 8
-//! independent pipeline runs for `install_all_independent`.
+//! independent pipeline runs for `install_all_independent`. A cache-hit
+//! reinstall verifies zero times and restores the sparse image in place.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use deflection_core::policy::{Manifest, PolicySet};
@@ -37,6 +38,7 @@ fn print_table() {
     drop(warmup);
 
     let mut t_cached = Duration::MAX;
+    let mut t_hit = Duration::MAX;
     for _ in 0..3 {
         let mut cached = EnclavePool::new(&layout, &manifest, POOL_WORKERS);
         let start = Instant::now();
@@ -47,8 +49,11 @@ fn print_table() {
             1,
             "install_all must verify exactly once per unique code hash"
         );
-        // Reinstall of the same binary: pure replay, still one verification.
+        // Reinstall of the same binary: pure replay over the installed
+        // workers, still one verification.
+        let start = Instant::now();
         cached.install_all(&binary).expect("replays");
+        t_hit = t_hit.min(start.elapsed());
         assert_eq!(cached.verification_count(), 1, "cache hit must not re-verify");
     }
 
@@ -65,6 +70,7 @@ fn print_table() {
     println!("{:<22} {:>14} {:>14}", "strategy", "verifications", "install time");
     println!("{:-<52}", "");
     println!("{:<22} {:>14} {:>12.1?}", "install_all (cached)", 1, t_cached);
+    println!("{:<22} {:>14} {:>12.1?}", "install_all (hit)", 0, t_hit);
     println!("{:<22} {:>14} {:>12.1?}", "independent", POOL_WORKERS, t_indep);
     println!("{:-<52}", "");
     println!(

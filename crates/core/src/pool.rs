@@ -20,7 +20,11 @@
 //! are cached by code hash, so reinstalling a previously seen binary
 //! verifies zero times, and the cache can be sealed to untrusted storage
 //! and re-imported after a restart ([`EnclavePool::export_sealed`] /
-//! [`EnclavePool::import_sealed`], see [`crate::sealed`]).
+//! [`EnclavePool::import_sealed`], see [`crate::sealed`]). An image holds
+//! only its few nonzero pages and is shared, not copied, between the
+//! cache and the replaying workers; a replay restores it in place over
+//! each worker's memory, zeroing every page the previous tenant touched,
+//! so a tenant switch costs a few page copies and leaves no residue.
 //!
 //! # Fault tolerance
 //!
@@ -56,11 +60,13 @@ use crate::policy::Manifest;
 use crate::runtime::{BootstrapEnclave, EcallError, PreparedInstall, RunReport};
 use deflection_crypto::sha256::sha256;
 use deflection_sgx_sim::layout::EnclaveLayout;
+use deflection_sgx_sim::mem::Memory;
 use deflection_sgx_sim::vm::RunExit;
 use deflection_telemetry::flightrec::{self, EventKind, TraceId};
 use deflection_telemetry::{Span, METRICS};
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 /// Default number of times a worker slot may be respawned between
 /// reinstalls before it stays quarantined.
@@ -68,8 +74,9 @@ const DEFAULT_RESPAWN_BUDGET: usize = 8;
 
 /// Default cap on retained prepared images (see
 /// [`EnclavePool::set_prepared_cap`]). Each [`PreparedInstall`] holds a
-/// full enclave memory image, so an unbounded cache is a memory leak on
-/// exactly the high-churn fleet workload the pool exists to serve.
+/// sparse memory image (a few pages) plus the verified disassembly and
+/// the original binary, so an unbounded cache still grows without limit
+/// on exactly the high-churn fleet workload the pool exists to serve.
 pub const DEFAULT_PREPARED_CAP: usize = 64;
 
 /// Why [`EnclavePool::export_sealed_for`] could not seal a hash.
@@ -201,7 +208,7 @@ struct RespawnCtx<'a> {
     layout: &'a EnclaveLayout,
     manifest: &'a Manifest,
     owner_key: Option<[u8; 32]>,
-    prepared: Option<&'a PreparedInstall>,
+    prepared: Option<&'a Arc<PreparedInstall>>,
 }
 
 /// Replaces a worker slot's enclave with a fresh instance reinstalled from
@@ -371,7 +378,7 @@ fn drain_queue<T: AsRef<[u8]>>(
 pub struct EnclavePool {
     workers: Vec<Worker>,
     /// Verified install images by code hash (sha256 of the binary).
-    prepared: HashMap<[u8; 32], PreparedInstall>,
+    prepared: HashMap<[u8; 32], Arc<PreparedInstall>>,
     /// How many times the full consumer pipeline (with verification) ran.
     verifications: usize,
     layout: EnclaveLayout,
@@ -448,6 +455,17 @@ impl EnclavePool {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.workers.is_empty()
+    }
+
+    /// Read-only view of one worker's enclave memory (diagnostics and
+    /// replay oracles).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the worker has no binary installed.
+    #[must_use]
+    pub fn worker_memory(&self, worker: usize) -> &Memory {
+        self.workers[worker].enclave.memory()
     }
 
     /// The code hash of the currently active (installed-everywhere)
@@ -587,7 +605,7 @@ impl EnclavePool {
         METRICS.pool_sealed_imports.add(1);
         let hash = prepared.code_hash();
         self.insert_prepared(hash, prepared);
-        let prepared = self.prepared.get(&hash).expect("just inserted").clone();
+        let prepared = Arc::clone(&self.prepared[&hash]);
         self.replay_into_all(&prepared)
     }
 
@@ -632,7 +650,7 @@ impl EnclavePool {
                 self.workers.len() as u64,
                 u64::from(cached),
             );
-            let prepared = self.prepared.get(&hash).expect("present").clone();
+            let prepared = Arc::clone(&self.prepared[&hash]);
             self.replay_into_all(&prepared)
         })
     }
@@ -675,7 +693,7 @@ impl EnclavePool {
                 self.workers.len() as u64,
                 u64::from(cached),
             );
-            let prepared = self.prepared.get(&hash).expect("present").clone();
+            let prepared = Arc::clone(&self.prepared[&hash]);
             self.replay_into_all(&prepared)
         })
     }
@@ -736,7 +754,7 @@ impl EnclavePool {
     fn insert_prepared(&mut self, hash: [u8; 32], p: PreparedInstall) {
         self.evicted.remove(&hash);
         self.touch(hash);
-        self.prepared.insert(hash, p);
+        self.prepared.insert(hash, Arc::new(p));
     }
 
     /// Evicts least-recently-used prepared images until the cap holds,

@@ -26,7 +26,7 @@ use deflection_sgx_sim::coloc::{ColocationTester, PROFILES};
 use deflection_sgx_sim::cpu::Cpu;
 use deflection_sgx_sim::layout::EnclaveLayout;
 use deflection_sgx_sim::measure::{measure_enclave, Measurement};
-use deflection_sgx_sim::mem::Memory;
+use deflection_sgx_sim::mem::{MemImage, Memory};
 use deflection_sgx_sim::vm::{ExecStats, RunExit, Vm, VmHost};
 use deflection_sgx_sim::Fault;
 use deflection_telemetry::METRICS;
@@ -385,11 +385,17 @@ impl From<CryptoError> for EcallError {
 /// [`BootstrapEnclave::install_replayed`] enforces the measurement match
 /// and fails closed on any mismatch; the manifest is part of the pool's
 /// construction, so a pool's workers are identical by construction.
-#[derive(Debug, Clone)]
+///
+/// The memory image is sparse ([`MemImage`]): its few nonzero pages plus
+/// permissions and code-write stamps. Replay restores it in place over
+/// the enclave's previous memory, and [`Memory::restore`] makes the result
+/// byte-identical to the captured memory, so the argument above holds
+/// unchanged and nothing of the previous install survives.
+#[derive(Debug)]
 pub struct PreparedInstall {
     pub(crate) measurement: Measurement,
     pub(crate) code_hash: [u8; 32],
-    pub(crate) mem: Memory,
+    pub(crate) mem: MemImage,
     pub(crate) installed: Installed,
     pub(crate) io: Option<IoPlan>,
     /// The original serialized binary, kept so the image can be sealed and
@@ -675,7 +681,7 @@ impl BootstrapEnclave {
         let prepared = PreparedInstall {
             measurement: self.measurement(),
             code_hash: installed.program.code_hash,
-            mem: mem.clone(),
+            mem: mem.image(),
             installed: installed.clone(),
             io,
             binary: binary.to_vec(),
@@ -687,7 +693,9 @@ impl BootstrapEnclave {
 
     /// Installs a previously captured image without re-running the
     /// consumer pipeline. Sound because the pipeline is deterministic in
-    /// the measurement-covered inputs — see [`PreparedInstall`].
+    /// the measurement-covered inputs — see [`PreparedInstall`]. The image
+    /// is restored in place over the enclave's current memory, which
+    /// leaves no byte of the previous install or its runs behind.
     ///
     /// # Errors
     ///
@@ -700,7 +708,9 @@ impl BootstrapEnclave {
         if prepared.measurement != self.measurement() {
             return Err(EcallError::PreparedMismatch);
         }
-        self.adopt(prepared.mem.clone(), prepared.installed.clone(), prepared.io);
+        let mut mem = self.vm.take().map_or_else(|| Memory::new(self.layout.clone()), |vm| vm.mem);
+        mem.restore(&prepared.mem);
+        self.adopt(mem, prepared.installed.clone(), prepared.io);
         Ok(prepared.code_hash)
     }
 

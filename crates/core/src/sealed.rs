@@ -11,7 +11,7 @@
 //!
 //! # What is sealed, and why rebuilding is sound
 //!
-//! The blob does not carry the multi-megabyte post-rewrite memory image; it
+//! The blob does not carry the post-rewrite memory image at all; it
 //! carries the original *binary* plus the identity triple that the full
 //! verifying pipeline accepted: the capturing enclave's measurement, the
 //! manifest digest, and the loader's code hash — all under an HMAC keyed by
@@ -193,7 +193,7 @@ impl PreparedInstall {
         Ok(PreparedInstall {
             measurement,
             code_hash,
-            mem,
+            mem: mem.image(),
             installed,
             io,
             binary: binary.to_vec(),

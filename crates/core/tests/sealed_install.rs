@@ -1,15 +1,17 @@
 //! Sealed install cache across pool restarts: a pool that verified a
 //! binary once exports the prepared image under the enclave sealing key, a
 //! freshly constructed pool imports it with zero re-verifications, and
-//! every tampered or mismatched import is rejected.
+//! every tampered or mismatched import is rejected — including random and
+//! randomly altered blobs, which must fail closed without panicking.
 
 use deflection_core::policy::{Manifest, PolicySet};
 use deflection_core::pool::EnclavePool;
 use deflection_core::producer::produce;
-use deflection_core::runtime::EcallError;
+use deflection_core::runtime::{EcallError, PreparedInstall};
 use deflection_core::sealed::UnsealError;
 use deflection_sgx_sim::layout::{EnclaveLayout, MemConfig};
 use deflection_sgx_sim::vm::RunExit;
+use proptest::prelude::*;
 
 const FUEL: u64 = 10_000_000;
 
@@ -128,4 +130,55 @@ fn malformed_blobs_are_rejected() {
         let err = pool.import_sealed(bad).unwrap_err();
         assert!(matches!(err, EcallError::Unseal(UnsealError::Malformed)), "{err:?}");
     }
+}
+
+/// The sealed echo blob, captured once for the proptests below.
+fn valid_blob() -> &'static [u8] {
+    static BLOB: std::sync::OnceLock<Vec<u8>> = std::sync::OnceLock::new();
+    BLOB.get_or_init(|| sealed_from_first_pool().0)
+}
+
+fn unseal(blob: &[u8]) -> Result<PreparedInstall, UnsealError> {
+    PreparedInstall::unseal(blob, &EnclaveLayout::new(MemConfig::small()), &manifest())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Random bytes fail closed without panicking, whether they start
+    /// from nothing, from the real magic, or from a real identity header
+    /// (so the attacker-controlled length and MAC are reached).
+    #[test]
+    fn unseal_rejects_random_bytes_without_panicking(
+        tail in proptest::collection::vec(any::<u8>(), 0..600),
+        prefix in 0usize..3,
+    ) {
+        let keep = [0, 8, 104][prefix];
+        let mut blob = valid_blob()[..keep].to_vec();
+        blob.extend_from_slice(&tail);
+        prop_assert!(unseal(&blob).is_err());
+    }
+
+    /// Any change to a valid blob is rejected: a flipped byte, a
+    /// truncation or trailing bytes.
+    #[test]
+    fn unseal_rejects_every_change_to_a_valid_blob(
+        pos in any::<usize>(),
+        flip in 1u8..=255,
+        extra in proptest::collection::vec(any::<u8>(), 1..64),
+    ) {
+        let blob = valid_blob();
+        let mut flipped = blob.to_vec();
+        flipped[pos % blob.len()] ^= flip;
+        prop_assert!(unseal(&flipped).is_err(), "flip at {} accepted", pos % blob.len());
+        prop_assert!(unseal(&blob[..pos % blob.len()]).is_err());
+        let mut extended = blob.to_vec();
+        extended.extend_from_slice(&extra);
+        prop_assert!(unseal(&extended).is_err());
+    }
+}
+
+#[test]
+fn the_unmodified_blob_unseals() {
+    assert!(unseal(valid_blob()).is_ok());
 }

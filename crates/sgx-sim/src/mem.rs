@@ -1,6 +1,11 @@
 //! The simulated physical memory: untrusted host memory plus the paged,
 //! permission-checked EPC.
 //!
+//! Every page that may hold a nonzero byte is marked *touched*, so a
+//! [`MemImage`] keeps only those pages and [`Memory::restore`] rewinds a
+//! dirty memory by zeroing and copying a handful of pages instead of
+//! cloning every byte of the enclave.
+//!
 //! A real enclave *can* write to untrusted memory — that is precisely the
 //! leak channel policy P1 exists to close — so stores outside ELRANGE
 //! succeed here but are counted and (up to a cap) recorded, letting tests
@@ -71,6 +76,11 @@ pub struct Memory {
     code_gen: u64,
     /// Per-page stamp of the last code-write generation that touched it.
     page_code_gen: Vec<u64>,
+    /// Per-page "may hold a nonzero byte" marks: enclave pages first (same
+    /// index as `perms`), then untrusted pages. Every mutating path marks
+    /// the pages it writes, so an untouched page is all zero — the
+    /// invariant [`Memory::image`] and [`Memory::restore`] rest on.
+    touched: Vec<bool>,
     /// Count of enclave-initiated writes that landed outside ELRANGE.
     pub untrusted_write_count: u64,
     /// The first 1024 such writes (capped).
@@ -83,12 +93,14 @@ impl Memory {
     pub fn new(layout: EnclaveLayout) -> Self {
         let enclave_len = layout.elrange.len() as usize;
         let pages = enclave_len / PAGE_SIZE as usize;
+        let untrusted_pages = (layout.config.untrusted_size as usize).div_ceil(PAGE_SIZE as usize);
         let mut mem = Memory {
             untrusted: vec![0; layout.config.untrusted_size as usize],
             enclave: vec![0; enclave_len],
             perms: vec![PagePerm::NONE; pages],
             code_gen: 0,
             page_code_gen: vec![0; pages],
+            touched: vec![false; pages + untrusted_pages],
             untrusted_write_count: 0,
             leak_log: Vec::new(),
             layout,
@@ -203,6 +215,41 @@ impl Memory {
         }
     }
 
+    /// Marks touched every page overlapping `off..off + len`, an offset
+    /// into the enclave bytes followed by the untrusted bytes (the
+    /// touched-bitmap numbering).
+    fn touch(&mut self, off: usize, len: usize) {
+        if len > 0 {
+            let page = PAGE_SIZE as usize;
+            self.touched[off / page..=(off + len - 1) / page].fill(true);
+        }
+    }
+
+    /// Where page `idx` of the touched-bitmap numbering lives: in the
+    /// enclave (`true`) or in untrusted memory, and its byte range there
+    /// (the last untrusted page may be short).
+    fn page_span(&self, idx: usize) -> (bool, std::ops::Range<usize>) {
+        let page = PAGE_SIZE as usize;
+        match idx.checked_sub(self.perms.len()) {
+            None => (true, idx * page..(idx + 1) * page),
+            Some(u) => (false, u * page..((u + 1) * page).min(self.untrusted.len())),
+        }
+    }
+
+    fn page_bytes(&self, idx: usize) -> &[u8] {
+        match self.page_span(idx) {
+            (true, r) => &self.enclave[r],
+            (false, r) => &self.untrusted[r],
+        }
+    }
+
+    fn page_bytes_mut(&mut self, idx: usize) -> &mut [u8] {
+        match self.page_span(idx) {
+            (true, r) => &mut self.enclave[r],
+            (false, r) => &mut self.untrusted[r],
+        }
+    }
+
     /// Translation fast path: the enclave-relative offset of `addr` when the
     /// `len64`-byte access lies entirely inside one enclave page — the moral
     /// equivalent of a direct-mapped TLB hit (one range compare plus one
@@ -293,6 +340,7 @@ impl Memory {
                 return Err(Fault::WriteViolation { addr });
             }
             write_le(&mut self.enclave[off..off + len as usize], value);
+            self.touched[page] = true;
             if perm.x {
                 // Self-modifying code (the SGXv1 RWX window permits it):
                 // invalidate any cached decodes of this page.
@@ -305,6 +353,7 @@ impl Memory {
             self.check_enclave_perm(addr, len64, Access::Write)?;
             let off = (addr - self.layout.elrange.start) as usize;
             write_le(&mut self.enclave[off..off + len as usize], value);
+            self.touch(off, len as usize);
             self.note_enclave_write(off, len as usize);
             Ok(())
         } else if Region::new(0, self.untrusted.len() as u64).contains_range(addr, len64) {
@@ -313,6 +362,7 @@ impl Memory {
                 self.leak_log.push(LeakRecord { addr, len });
             }
             write_le(&mut self.untrusted[addr as usize..addr as usize + len as usize], value);
+            self.touch(self.enclave.len() + addr as usize, len as usize);
             Ok(())
         } else {
             Err(Fault::Unmapped { addr })
@@ -381,10 +431,12 @@ impl Memory {
         if self.layout.elrange.contains_range(addr, len64) {
             let off = (addr - self.layout.elrange.start) as usize;
             self.enclave[off..off + bytes.len()].copy_from_slice(bytes);
+            self.touch(off, bytes.len());
             self.note_enclave_write(off, bytes.len());
             Ok(())
         } else if Region::new(0, self.untrusted.len() as u64).contains_range(addr, len64) {
             self.untrusted[addr as usize..addr as usize + bytes.len()].copy_from_slice(bytes);
+            self.touch(self.enclave.len() + addr as usize, bytes.len());
             Ok(())
         } else {
             Err(Fault::Unmapped { addr })
@@ -407,6 +459,121 @@ impl Memory {
     /// Faults only on unmapped addresses.
     pub fn poke_u64(&mut self, addr: u64, value: u64) -> Result<(), Fault> {
         self.poke_bytes(addr, &value.to_le_bytes())
+    }
+
+    /// Captures this memory as a sparse [`MemImage`]: the touched pages
+    /// that hold a nonzero byte, plus every permission, code-write stamp
+    /// and leak counter.
+    #[must_use]
+    pub fn image(&self) -> MemImage {
+        let pages = (0..self.touched.len())
+            .filter(|&idx| self.touched[idx] && self.page_bytes(idx).iter().any(|&b| b != 0))
+            .map(|idx| (idx, self.page_bytes(idx).into()))
+            .collect();
+        MemImage {
+            layout: self.layout.clone(),
+            pages,
+            perms: self.perms.clone(),
+            code_gen: self.code_gen,
+            page_code_gen: self.page_code_gen.clone(),
+            untrusted_write_count: self.untrusted_write_count,
+            leak_log: self.leak_log.clone(),
+        }
+    }
+
+    /// Rewinds this memory in place to `img`: zeroes the touched pages and
+    /// copies in the image's. Because an untouched page is all zero, the
+    /// result is byte-identical to the memory `img` was captured from —
+    /// nothing a previous tenant wrote survives.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `img` was captured from a memory with another layout.
+    pub fn restore(&mut self, img: &MemImage) {
+        assert_eq!(self.layout, img.layout, "image captured under another layout");
+        debug_assert!(
+            (0..self.touched.len())
+                .all(|idx| self.touched[idx] || self.page_bytes(idx).iter().all(|&b| b == 0)),
+            "an untouched page holds a nonzero byte"
+        );
+        for idx in 0..self.touched.len() {
+            if std::mem::take(&mut self.touched[idx]) {
+                self.page_bytes_mut(idx).fill(0);
+            }
+        }
+        for (idx, bytes) in &img.pages {
+            self.page_bytes_mut(*idx).copy_from_slice(bytes);
+            self.touched[*idx] = true;
+        }
+        self.perms.copy_from_slice(&img.perms);
+        self.code_gen = img.code_gen;
+        self.page_code_gen.copy_from_slice(&img.page_code_gen);
+        self.untrusted_write_count = img.untrusted_write_count;
+        self.leak_log.clone_from(&img.leak_log);
+    }
+
+    /// The first observable difference between two memories — a byte,
+    /// permission, code-write stamp or leak record — or `None` when they
+    /// are indistinguishable. Replay oracles compare memories with it.
+    #[must_use]
+    pub fn first_difference(&self, other: &Memory) -> Option<String> {
+        if self.layout != other.layout {
+            return Some("layouts differ".into());
+        }
+        if let Some(idx) =
+            (0..self.touched.len()).find(|&idx| self.page_bytes(idx) != other.page_bytes(idx))
+        {
+            let (enclave, r) = self.page_span(idx);
+            let base = if enclave { self.layout.elrange.start } else { 0 };
+            return Some(format!("bytes differ on the page at {:#x}", base + r.start as u64));
+        }
+        if let Some(p) = (0..self.perms.len()).find(|&p| self.perms[p] != other.perms[p]) {
+            return Some(format!("permissions differ on enclave page {p}"));
+        }
+        if let Some(p) =
+            (0..self.perms.len()).find(|&p| self.page_code_gen[p] != other.page_code_gen[p])
+        {
+            return Some(format!("code-write stamps differ on enclave page {p}"));
+        }
+        if self.code_gen != other.code_gen {
+            return Some(format!(
+                "code generations differ: {} vs {}",
+                self.code_gen, other.code_gen
+            ));
+        }
+        if self.untrusted_write_count != other.untrusted_write_count {
+            return Some(format!(
+                "untrusted write counts differ: {} vs {}",
+                self.untrusted_write_count, other.untrusted_write_count
+            ));
+        }
+        if self.leak_log != other.leak_log {
+            return Some("leak logs differ".into());
+        }
+        None
+    }
+}
+
+/// A sparse snapshot of a [`Memory`] (see [`Memory::image`]): only the
+/// pages that hold a nonzero byte, so an installed enclave's image is a
+/// few pages, not the whole EPC.
+#[derive(Debug)]
+pub struct MemImage {
+    layout: EnclaveLayout,
+    /// `(page, bytes)` in the touched-bitmap numbering, ascending.
+    pages: Vec<(usize, Box<[u8]>)>,
+    perms: Vec<PagePerm>,
+    code_gen: u64,
+    page_code_gen: Vec<u64>,
+    untrusted_write_count: u64,
+    leak_log: Vec<LeakRecord>,
+}
+
+impl MemImage {
+    /// Number of nonzero pages the image holds.
+    #[must_use]
+    pub fn resident_pages(&self) -> usize {
+        self.pages.len()
     }
 }
 
@@ -581,6 +748,32 @@ mod tests {
         // Straddling into a guard page faults exactly as before.
         let guard_edge = m.layout().stack.end - 4;
         assert!(matches!(m.store(guard_edge, 8, 1), Err(Fault::WriteViolation { .. })));
+    }
+
+    #[test]
+    fn image_holds_only_the_nonzero_pages() {
+        let mut m = mem();
+        assert_eq!(m.image().resident_pages(), 0);
+        // Touched but all-zero pages stay out of the image.
+        m.store(m.layout().heap.start, 8, 0).unwrap();
+        m.poke_bytes(0x2000, &[0; 16]).unwrap();
+        assert_eq!(m.image().resident_pages(), 0);
+        // A straddling store fills two pages, an untrusted store one more.
+        m.store(m.layout().heap.start + PAGE_SIZE - 4, 8, u64::MAX).unwrap();
+        m.store(0x2000, 1, 7).unwrap();
+        let img = m.image();
+        assert_eq!(img.resident_pages(), 3);
+        let mut fresh = mem();
+        fresh.restore(&img);
+        assert_eq!(fresh.first_difference(&m), None);
+        assert_eq!(fresh.load(0x2000, 1).unwrap(), 7);
+    }
+
+    #[test]
+    #[should_panic(expected = "image captured under another layout")]
+    fn restore_refuses_an_image_of_another_layout() {
+        let img = Memory::new(EnclaveLayout::new(MemConfig::paper())).image();
+        mem().restore(&img);
     }
 
     #[test]

@@ -41,11 +41,11 @@ cargo build --release
 echo "==> tier-1: cargo test -q"
 cargo test -q
 
-# The fault-injection suites run as part of `cargo test` above, but tier-1
-# names them explicitly so a packaging/bin-filter regression that silently
-# drops them is caught here.
-echo "==> tier-1: chaos/fault-injection suite (pool_chaos, sealed_install)"
-cargo test -q -p deflection-core --test pool_chaos --test sealed_install
+# The fault-injection and replay-residue suites run as part of `cargo test`
+# above, but tier-1 names them explicitly so a packaging/bin-filter
+# regression that silently drops them is caught here.
+echo "==> tier-1: chaos/fault-injection suite (pool_chaos, sealed_install, replay_residue)"
+cargo test -q -p deflection-core --test pool_chaos --test sealed_install --test replay_residue
 
 # perfbench sits outside the workspace, so `cargo test` above never
 # compiles it; build and test it against the current crates so an API
